@@ -18,10 +18,13 @@
    regardless of file size — but that is exercised by the server tests;
    this experiment isolates the build itself.
 
-   Method: every measurement runs in a forked child so the high-water mark
-   (VmHWM, see [Report.peak_rss_kb]) belongs to that one build; the child
-   samples the mark before and after the work and reports the difference,
-   cancelling whatever footprint it inherited from the harness.  Documents
+   Method: every measurement runs in a child process so the high-water
+   mark (VmHWM, see [Report.peak_rss_kb]) belongs to that one build.  The
+   child is a fresh harness process started on the hidden [child_verb]
+   sub-command — not a fork, which OCaml 5 refuses once earlier
+   experiments (E14, E15) have spawned domains; it samples the mark before
+   and after the work and reports the difference, cancelling the
+   footprint of the harness itself.  Documents
    are generated deterministically at several sizes; each child repeats the
    build enough times to get a stable docs/s figure (RSS is taken from the
    same run — repetition does not move the high-water mark since each
@@ -36,13 +39,7 @@ module Dom = Rxml.Dom
 module Stream_build = Ruid.Stream_build
 module Ruid2 = Ruid.Ruid2
 
-let workdir =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ruid-e20-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-  d
+let workdir () = Report.workdir "e20"
 
 let max_area_size = 64
 
@@ -89,35 +86,44 @@ let build_once mode path =
     ignore (Sys.opaque_identity r2);
     Dom.size doc
 
-(* Run [reps] builds in a forked child; the pipe carries the sample back.
-   The child bypasses at_exit so the parent's buffered stdout is not
-   flushed twice. *)
-let measure mode path ~reps =
-  flush stdout;
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
+(* The hidden sub-command [bench/main.exe __e20-measure MODE PATH REPS]:
+   run [reps] builds and print "secs nodes extra_kb" on stdout. *)
+let child_verb = "__e20-measure"
+
+let child = function
+  | [ mode; path; reps ] ->
+    let mode = if mode = "dom" then `Dom else `Stream in
     let base_kb = Report.peak_rss_kb () in
     let t0 = Unix.gettimeofday () in
     let nodes = ref 0 in
-    for _ = 1 to reps do
+    for _ = 1 to int_of_string reps do
       nodes := build_once mode path
     done;
     let secs = Unix.gettimeofday () -. t0 in
-    let peak_kb = Report.peak_rss_kb () in
-    let oc = Unix.out_channel_of_descr w in
-    Printf.fprintf oc "%f %d %d\n" secs !nodes (max 0 (peak_kb - base_kb));
-    flush oc;
-    Unix._exit 0
-  | pid ->
-    Unix.close w;
-    let ic = Unix.in_channel_of_descr r in
-    let line = input_line ic in
-    close_in ic;
-    ignore (Unix.waitpid [] pid);
+    Printf.printf "%f %d %d\n" secs !nodes
+      (max 0 (Report.peak_rss_kb () - base_kb))
+  | _ -> failwith ("usage: " ^ child_verb ^ " dom|stream PATH REPS")
+
+(* Run [reps] builds in a child harness process; its stdout carries the
+   sample back. *)
+let measure mode path ~reps =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; child_verb;
+         (match mode with `Dom -> "dom" | `Stream -> "stream");
+         path; string_of_int reps |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  let line = In_channel.input_line ic in
+  close_in ic;
+  match (Unix.waitpid [] pid, line) with
+  | (_, Unix.WEXITED 0), Some line ->
     Scanf.sscanf line "%f %d %d" (fun secs nodes extra_kb ->
         { secs; reps; nodes; extra_kb })
+  | _ -> failwith "E20: measurement child failed"
 
 let docs_per_s s = float_of_int s.reps /. s.secs
 
@@ -145,7 +151,7 @@ let run () =
   let rows =
     List.map
       (fun (label, target) ->
-        let path = Filename.concat workdir ("doc-" ^ label ^ ".xml") in
+        let path = Filename.concat (workdir ()) ("doc-" ^ label ^ ".xml") in
         let bytes = gen_file path ~target in
         (* Enough repetitions for a stable clock on small files, few on the
            big ones where a single build is already tens of ms. *)

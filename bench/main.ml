@@ -25,12 +25,7 @@ let experiments =
     ("E20", E20.run);
   ]
 
-let () =
-  let requested =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as names) -> List.map String.uppercase_ascii names
-    | _ -> List.map fst experiments
-  in
+let run requested =
   print_endline
     "ruid reproduction harness - 'A Structural Numbering Scheme for XML Data' (EDBT 2002)";
   print_endline
@@ -45,3 +40,9 @@ let () =
         exit 2)
     requested;
   print_endline "\ndone."
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: verb :: args when verb = E20.child_verb -> E20.child args
+  | _ :: (_ :: _ as names) -> run (List.map String.uppercase_ascii names)
+  | _ -> run (List.map fst experiments)

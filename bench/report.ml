@@ -47,6 +47,17 @@ let fbool b = if b then "yes" else "no"
    high-water mark is monotone for the process lifetime, so callers that
    want the footprint of one phase sample it before and after and take the
    difference. *)
+(* The experiment's scratch directory, [ruid-<tag>-<pid>] under the temp
+   dir, created on first use (never at module load: the hidden E20
+   sub-command starts a fresh harness process that must leave none). *)
+let workdir tag =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ruid-%s-%d" tag (Unix.getpid ()))
+  in
+  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+  d
+
 let peak_rss_kb () =
   match open_in "/proc/self/status" with
   | exception Sys_error _ -> 0

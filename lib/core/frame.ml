@@ -118,28 +118,27 @@ let greedy_cut ~max_area_size ~max_area_depth root =
   fill_area root;
   { root; cut }
 
+(* One area root's frame children with their count, kept alongside so no
+   step re-measures a list. *)
+type frame_kids = { mutable members : Dom.t list; mutable count : int }
+
 let adjust_fanout t =
   let tree_fanout =
     Dom.fold_preorder (fun acc n -> max acc (Dom.degree n)) 1 t.root
   in
-  (* One pass computes every area root's frame children; promotions then
-     touch only the offender's children, so the whole adjustment is
-     near-linear instead of rescanning the tree per promotion. *)
-  let children : (int, Dom.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let kids r =
-    match Hashtbl.find_opt children r.Dom.serial with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace children r.Dom.serial l;
-      l
-  in
+  (* One pass computes every area root's frame children. *)
+  let children : (int, Dom.t * frame_kids) Hashtbl.t = Hashtbl.create 64 in
   let rec collect area_root n =
     List.iter
       (fun c ->
         if is_area_root t c then begin
-          let l = kids area_root in
-          l := c :: !l;
+          (match Hashtbl.find_opt children area_root.Dom.serial with
+          | Some (_, k) ->
+            k.members <- c :: k.members;
+            k.count <- k.count + 1
+          | None ->
+            Hashtbl.replace children area_root.Dom.serial
+              (area_root, { members = [ c ]; count = 1 }));
           collect c c
         end
         else collect area_root c)
@@ -157,56 +156,56 @@ let adjust_fanout t =
     in
     go [] n
   in
-  let worklist = Queue.create () in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt children r.Dom.serial with
-      | Some l when List.length !l > tree_fanout -> Queue.add r worklist
-      | _ -> ())
-    (area_roots t);
-  while not (Queue.is_empty worklist) do
-    let u = Queue.pop worklist in
-    let l = kids u in
-    if List.length !l > tree_fanout then begin
-      (* Group u's frame children by the T-child of u they sit under. *)
-      let groups = Hashtbl.create 8 in
-      List.iter
-        (fun fc ->
-          let branch =
-            match path_to_parent ~stop:u fc with
-            | b :: _ -> b
-            | [] -> fc (* fc is a direct T-child of u *)
-          in
-          let cur =
-            match Hashtbl.find_opt groups branch.Dom.serial with
-            | Some (_, members) -> members
-            | None -> []
-          in
-          Hashtbl.replace groups branch.Dom.serial (branch, fc :: cur))
-        !l;
-      (* Largest group wins; ties break on the branch's position among u's
-         children.  Never on hash order of serials — that would make the
-         cut depend on node-allocation history, so two parses of the same
-         bytes could partition (and number) differently. *)
-      let best =
-        Hashtbl.fold (fun _ bg acc -> bg :: acc) groups []
-        |> List.filter (fun (_, g) -> List.length g >= 2)
-        |> List.sort (fun (b1, g1) (b2, g2) ->
-               match compare (List.length g2) (List.length g1) with
-               | 0 -> compare (Dom.child_index b1) (Dom.child_index b2)
-               | c -> c)
-        |> function
-        | [] -> None
-        | (_, g) :: _ -> Some g
-      in
-      match best with
-      | None ->
+  (* Bring [u]'s frame fan-out down to the tree's.  Promotions on [u] only
+     replace one branch's group by its LCA and never touch another branch
+     or another area root's children, so the groups are formed and ranked
+     once, and the best ones are promoted in rank order: the same cut as
+     re-ranking after every promotion, in one pass over [u]'s children. *)
+  let rec settle u k =
+    (* Group u's frame children by the T-child of u they sit under. *)
+    let groups = Hashtbl.create 8 in
+    List.iter
+      (fun fc ->
+        let branch =
+          match path_to_parent ~stop:u fc with
+          | b :: _ -> b
+          | [] -> fc (* fc is a direct T-child of u *)
+        in
+        match Hashtbl.find_opt groups branch.Dom.serial with
+        | Some (_, g) ->
+          g.members <- fc :: g.members;
+          g.count <- g.count + 1
+        | None ->
+          Hashtbl.replace groups branch.Dom.serial
+            (branch, { members = [ fc ]; count = 1 }))
+      k.members;
+    (* Largest group first; ties break on the branch's position among u's
+       children.  Never on hash order of serials — that would make the cut
+       depend on node-allocation history, so two parses of the same bytes
+       could partition (and number) differently. *)
+    let position = Hashtbl.create 64 in
+    List.iteri (fun i c -> Hashtbl.replace position c.Dom.serial i) u.Dom.children;
+    let ranked =
+      Hashtbl.fold
+        (fun _ (b, g) acc ->
+          if g.count >= 2 then (Hashtbl.find position b.Dom.serial, g) :: acc
+          else acc)
+        groups []
+      |> List.sort (fun (i1, g1) (i2, g2) ->
+             match compare g2.count g1.count with 0 -> compare i1 i2 | c -> c)
+    in
+    let rec promote count = function
+      | _ when count <= tree_fanout -> ()
+      | [] ->
         (* Impossible while the fan-out exceeds the tree's: some branch
            must hold two frame children. *)
         assert false
-      | Some group ->
-        (* Promote the LCA (within u's area) of the group. *)
-        let paths = List.map (fun fc -> path_to_parent ~stop:u fc @ [ fc ]) group in
+      | (_, g) :: rest ->
+        (* Promote the LCA (within u's area) of the group; the group moves
+           under it. *)
+        let paths =
+          List.map (fun fc -> path_to_parent ~stop:u fc @ [ fc ]) g.members
+        in
         let rec common prefix ps =
           let heads = List.map (function x :: _ -> Some x | [] -> None) ps in
           match heads with
@@ -225,15 +224,15 @@ let adjust_fanout t =
         in
         assert (not (Hashtbl.mem t.cut lca.Dom.serial));
         Hashtbl.replace t.cut lca.Dom.serial ();
-        (* Move the group under the new frame node. *)
-        l := List.filter (fun fc -> not (List.exists (Dom.equal fc) group)) !l;
-        l := lca :: !l;
-        let ll = kids lca in
-        ll := group;
-        if List.length !l > tree_fanout then Queue.add u worklist;
-        if List.length group > tree_fanout then Queue.add lca worklist
-    end
-  done
+        if g.count > tree_fanout then settle lca g;
+        promote (count - g.count + 1) rest
+    in
+    promote k.count ranked
+  in
+  Hashtbl.fold
+    (fun _ (u, k) acc -> if k.count > tree_fanout then (u, k) :: acc else acc)
+    children []
+  |> List.iter (fun (u, k) -> settle u k)
 
 let uncut t n =
   if Dom.equal n t.root then invalid_arg "Frame.uncut: tree root";

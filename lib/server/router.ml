@@ -136,8 +136,9 @@ let with_read_gate t f =
    down; the next call reconnects — with backoff while the shard was
    thought up (it may be mid-restart), with a single cheap attempt while
    it was already known down, so a dead shard costs each request one
-   connect(2) and not a retry budget. *)
-let shard_call t i req =
+   connect(2) and not a retry budget.  [timeout_ms] defaults to the
+   shard deadline; 0 waits for the reply however long it takes. *)
+let shard_call ?timeout_ms t i req =
   let sh = t.shards.(i) in
   Mutex.lock sh.smu;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.smu) @@ fun () ->
@@ -164,7 +165,9 @@ let shard_call t i req =
   | None -> None
   | Some c -> (
     match
-      Client.request_timeout c ~timeout_ms:t.cfg.shard_deadline_ms req
+      Client.request_timeout c
+        ~timeout_ms:(Option.value timeout_ms ~default:t.cfg.shard_deadline_ms)
+        req
     with
     | resp -> Some resp
     | exception _ ->
@@ -467,8 +470,8 @@ exception Move_failed of string
 
 let move_err fmt = Printf.ksprintf (fun m -> raise (Move_failed m)) fmt
 
-let call_ok t i req ~what =
-  match shard_call t i req with
+let call_ok ?timeout_ms t i req ~what =
+  match shard_call ?timeout_ms t i req with
   | Some (Protocol.Ok_ body) -> body
   | Some (Protocol.Err msg) -> move_err "%s: shard %d: %s" what i msg
   | Some (Protocol.Busy why) -> move_err "%s: shard %d busy: %s" what i why
@@ -556,8 +559,10 @@ let run_rebalance t doc target =
             else begin
               if size_b > size_a then
                 ship Protocol.Active_wal ~from:size_a ~upto:size_b;
+              (* the commit replays the journal: no read deadline, as for
+                 a committing ADDDOC *)
               let body =
-                call_ok t target
+                call_ok ~timeout_ms:0 t target
                   (Protocol.Adopt
                      { doc; file = Protocol.Active_wal; last = true;
                        bytes = "" })
@@ -701,15 +706,19 @@ let run_request t (req : Protocol.request) =
            ADDCHUNK sequence lands on the same shard's spool.  A success
            is a catalog fact worth keeping — for ADDCHUNK only the
            committing chunk's reply carries it (nodes= appears only
-           there). *)
+           there).  A committing forward waits for the shard however long
+           the build takes: the read deadline would mark a healthy shard
+           down and answer ERR while the shard still commits a document
+           the catalog never learns of. *)
         let owner = Shard_map.place t.map doc in
-        match shard_call t owner req with
+        let committed =
+          match req with
+          | Protocol.Add_chunk { last = false; _ } -> false
+          | _ -> true
+        in
+        let timeout_ms = if committed then Some 0 else None in
+        match shard_call ?timeout_ms t owner req with
         | Some (Protocol.Ok_ _ as r) ->
-          let committed =
-            match req with
-            | Protocol.Add_chunk { last = false; _ } -> false
-            | _ -> true
-          in
           if committed then known_add t doc;
           r
         | Some r -> r

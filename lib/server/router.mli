@@ -51,7 +51,10 @@ type config = {
   fanout : int;  (** concurrent shard calls per scatter; 0 = all shards *)
   shard_deadline_ms : int;
       (** per-shard call deadline; an expiring call marks the shard down
-          and poisons its pooled connection; 0 disables *)
+          and poisons its pooled connection; 0 disables.  Forwards that
+          commit a document (ADDDOC, the last ADDCHUNK, the ADOPT commit
+          of a rebalance) wait for the reply however long the build
+          takes *)
   connect_retries : int;
       (** reconnect attempts (bounded backoff) when a pooled connection
           is found dead *)

@@ -110,7 +110,12 @@ type master = {
       (** set (under the group's write mutex, all commit queues quiesced)
           by DROPDOC: the slot stays — the commit queues address masters by
           index — but the document refuses updates and stops being served *)
-  r2 : R2.t;  (** the writer's private mutable state; never read by readers *)
+  mutable r2 : R2.t;
+      (** the writer's numbering; readers see it only while [shared] *)
+  mutable shared : bool;
+      (** [r2] is also the published snapshot's copy ({!Snapshot.add_doc}
+          takes it without copying): the first update clones it under the
+          group's write mutex before writing (copy on first write) *)
   wal : Wal.writer;
   mutable applied_seq : int;
       (** sequence number of the last operation applied to [r2]; runs ahead
@@ -184,7 +189,6 @@ type group = {
 
 type t = {
   cfg : config;
-  coll : Rxpath.Collection.t;
   mutable masters : master array;
       (** grows (never shrinks, never reorders) with every group's write
           mutex held and every commit queue quiesced; the array itself is
@@ -203,6 +207,8 @@ type t = {
   last_version : int Atomic.t;
       (** version of the last applied update — the global stamp source,
           shared by every group (fetch-and-add) *)
+  force_full : bool Atomic.t;
+      (** the next batch publishes through the full fallback (tests) *)
   repl_requests : int Atomic.t;  (** REPL-* requests served *)
   repl_bytes : int Atomic.t;  (** journal/snapshot bytes shipped *)
   sched : Scheduler.t;
@@ -222,8 +228,8 @@ type t = {
 let metrics t = t.metrics
 let snapshot t = Atomic.get t.current
 let config t = t.cfg
-let collection t = t.coll
 let cache_stats t = Option.map Query_cache.stats t.cache
+let force_full_publication t = Atomic.set t.force_full true
 
 let find_master_idx t doc =
   Mutex.lock t.catalog_mu;
@@ -593,6 +599,7 @@ let commit_batch t (g : group) batch =
     let prev = Atomic.get t.current in
     match fresh_updates prev with
     | [] -> prev
+    | _ when Atomic.exchange t.force_full false -> publish_full ()
     | updates -> (
       let version = Snapshot.next_stamp prev ~floor:last_version in
       match Snapshot.advance prev ~version updates with
@@ -733,6 +740,10 @@ let run_update t doc op =
               restart the server to recover from the journal" doc why)
       | None -> (
         match
+          if m.shared then begin
+            m.r2 <- R2.clone m.r2;
+            m.shared <- false
+          end;
           let area, changed = Wal.apply m.r2 op in
           m.applied_seq <- m.applied_seq + 1;
           let version = 1 + Atomic.fetch_and_add t.last_version 1 in
@@ -1052,7 +1063,7 @@ let install_master t ~name ~r2 ~wal ~applied_seq =
   let version = 1 + Atomic.fetch_and_add t.last_version 1 in
   let group = Shard_map.hash ~shards:(Array.length t.groups) name in
   let m =
-    { name; group; retired = false; r2; wal; applied_seq;
+    { name; group; retired = false; r2; shared = true; wal; applied_seq;
       applied_version = version; durable_version = version; wedged = None;
       xml_path; sidecar_path; wal_path; rotate_mu = Mutex.create () }
   in
@@ -1095,8 +1106,6 @@ let install_built t ~verb name (b : Ruid.Stream_build.built) =
     Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
     let wal = Wal.create wal_path in
     let version = install_master t ~name ~r2 ~wal ~applied_seq:0 in
-    (try ignore (Rxpath.Collection.add_numbered t.coll ~name r2)
-     with Invalid_argument _ -> () (* revived name: already registered *));
     Protocol.Ok_
       (Printf.sprintf "doc=%s nodes=%d v=%d" name
          b.Ruid.Stream_build.stats.Ruid.Stream_build.nodes version)
@@ -1255,10 +1264,6 @@ let commit_adopt t doc =
           install_master t ~name:doc ~r2:recovery.Wal.r2 ~wal
             ~applied_seq:(Wal.seq wal)
         in
-        (try
-           ignore
-             (Rxpath.Collection.add_numbered t.coll ~name:doc recovery.Wal.r2)
-         with Invalid_argument _ -> ());
         Protocol.Ok_
           (Printf.sprintf "doc=%s seq=%d gen=%d v=%d" doc (Wal.seq wal)
              (Wal.generation wal) version)
@@ -1302,6 +1307,10 @@ let run_drop_doc t doc =
       Snapshot.retire_doc (Atomic.get t.current) ~version ~doc_index:idx
     in
     Atomic.set t.current next;
+    (* Give the tree back: the master keeps its slot and name but now
+       points at the retired slot's placeholder, which nothing writes. *)
+    m.r2 <- next.Snapshot.docs.(idx).Snapshot.r2;
+    m.shared <- true;
     (* Delete the artifacts: the document moved; a crash-restart of this
        shard must not resurrect a stale copy.  The journal's whole segment
        family (active segment, checkpoint pairs, archives) is enumerated
@@ -1490,18 +1499,21 @@ let start cfg docs =
   (* Persist the fencing epoch before serving: a follower's refusal rule
      depends on every node knowing which generation it speaks for. *)
   Replication.store_epoch cfg.data_dir cfg.epoch;
-  let coll = Rxpath.Collection.create ~max_area_size:cfg.max_area_size () in
   let n_groups = resolved_commit_groups cfg in
+  let catalog = Hashtbl.create (2 * List.length docs) in
   let masters =
     Array.of_list
-      (List.map
-         (fun (name, root) ->
+      (List.mapi
+         (fun i (name, root) ->
            if not (String.for_all (fun c -> c > ' ' && c <> '/') name)
               || name = "" || name.[0] = '.' then
              invalid_arg
                (Printf.sprintf "Service.start: bad document name %S" name);
-           let doc_id = Rxpath.Collection.add coll ~name root in
-           let r2 = Rxpath.Collection.ruid coll doc_id in
+           if Hashtbl.mem catalog name then
+             invalid_arg
+               (Printf.sprintf "Service.start: duplicate document name %S" name);
+           Hashtbl.replace catalog name i;
+           let r2 = R2.number ~max_area_size:cfg.max_area_size root in
            let base = Filename.concat cfg.data_dir name in
            let xml_path = base ^ ".xml" in
            let sidecar_path = base ^ ".ruid" in
@@ -1509,24 +1521,28 @@ let start cfg docs =
            Ruid.Persist.save r2 ~xml:xml_path ~sidecar:sidecar_path;
            let wal = Wal.create wal_path in
            (* version 1 is the startup snapshot's stamp; every cursor
-              starts there, matching [Snapshot.capture ~version:1] below *)
+              starts there, matching [Snapshot.add_doc ~version:1] below *)
            { name; group = Shard_map.hash ~shards:n_groups name;
-             retired = false; r2; wal; applied_seq = 0;
+             retired = false; r2; shared = true; wal; applied_seq = 0;
              applied_version = 1; durable_version = 1; wedged = None;
              xml_path; sidecar_path; wal_path;
              rotate_mu = Mutex.create () })
          docs)
   in
-  let catalog = Hashtbl.create (2 * Array.length masters) in
-  Array.iteri (fun i m -> Hashtbl.replace catalog m.name i) masters;
   let planner_shared =
     if cfg.planner then
       Some (Rxpath.Planner.make_shared ~plan_cache:cfg.plan_cache ())
     else None
   in
+  (* Start-up documents are installed as runtime arrivals are: each
+     snapshot slot shares its master until the master's first update. *)
   let snapshot0 =
-    Snapshot.capture ?planner:planner_shared ~version:1
-      (Array.to_list (Array.map (fun m -> (m.name, m.r2)) masters))
+    Array.fold_left
+      (fun s m ->
+        fst
+          (Snapshot.add_doc s ?planner:planner_shared ~version:1 ~name:m.name
+             m.r2))
+      (Snapshot.capture ~version:1 []) masters
   in
   let metrics = Metrics.create () in
   let on_exn ~label e = Metrics.record_dropped metrics ~verb:label e in
@@ -1558,7 +1574,6 @@ let start cfg docs =
   let t =
     {
       cfg;
-      coll;
       masters;
       catalog;
       catalog_mu = Mutex.create ();
@@ -1584,6 +1599,7 @@ let start cfg docs =
             });
       pipelines = [||];
       last_version = Atomic.make snapshot0.Snapshot.version;
+      force_full = Atomic.make false;
       repl_requests = Atomic.make 0;
       repl_bytes = Atomic.make 0;
       sched;

@@ -1,7 +1,7 @@
 (** The concurrent document service.
 
     One long-running process composes the repo's three pillars: numbering
-    (a hosted {!Rxpath.Collection}), durability (every structural update
+    (one {!Ruid.Ruid2} master per hosted document), durability (every structural update
     committed through {!Rstorage.Wal} before it is visible), and query
     evaluation (the numbering-driven engine) — behind a Unix-socket
     protocol ({!Protocol}) served by a worker pool ({!Scheduler}).
@@ -152,8 +152,11 @@ val config : t -> config
 val cache_stats : t -> Query_cache.stats option
 (** Result-cache counters, when a cache is configured. *)
 
-val collection : t -> Rxpath.Collection.t
-(** The hosted collection (the master registry; the write path's state). *)
+val force_full_publication : t -> unit
+(** Make the next commit batch publish through the full fallback
+    (re-capturing its documents from their masters) instead of the
+    incremental {!Snapshot.advance} — the path taken when a replay fails,
+    exposed so tests can drive it. *)
 
 val doc_files : t -> string -> (string * string * string) option
 (** [(xml, sidecar, wal)] paths of a hosted document — what to [fsck]

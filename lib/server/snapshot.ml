@@ -20,15 +20,12 @@ type t = {
   index : int SMap.t;
 }
 
-(* An isolated copy of a master document: clone the DOM, then re-impose the
-   exact identifiers through the persistence sidecar (Ruid2 state references
-   its own tree's nodes, so sharing the numbering would share the tree).
-   With [?planner] shared state, the copy also gets a query planner whose
-   engine doubles as the doc's evaluator (one Doc_index serves both). *)
-let capture_doc ?planner ~doc_version name (master : R2.t) =
-  let bytes = Ruid.Persist.sidecar_to_bytes master in
-  let root = Dom.clone (R2.root master) in
-  let r2 = Ruid.Persist.sidecar_of_bytes root bytes in
+(* A snapshot document over [r2] itself: engine (and, with [?planner]
+   shared state, a query planner whose engine doubles as the doc's
+   evaluator — one Doc_index serves both) built over the numbering it is
+   given, which the snapshot now owns. *)
+let own_doc ?planner ~doc_version name r2 =
+  let root = R2.root r2 in
   match planner with
   | None ->
     { name; root; r2; engine = Rxpath.Engine_ruid.create r2; planner = None;
@@ -37,6 +34,14 @@ let capture_doc ?planner ~doc_version name (master : R2.t) =
     let p = Planner.create ~shared r2 in
     { name; root; r2; engine = Planner.engine p; planner = Some p;
       doc_version; live = true }
+
+(* An isolated copy of a master document: clone the DOM, then re-impose the
+   exact identifiers through the persistence sidecar (Ruid2 state references
+   its own tree's nodes, so sharing the numbering would share the tree). *)
+let capture_doc ?planner ~doc_version name (master : R2.t) =
+  let bytes = Ruid.Persist.sidecar_to_bytes master in
+  let root = Dom.clone (R2.root master) in
+  own_doc ?planner ~doc_version name (Ruid.Persist.sidecar_of_bytes root bytes)
 
 let index_of_docs docs =
   let m = ref SMap.empty in
@@ -60,25 +65,31 @@ let replace_doc t ~version ~doc_version ~doc_index master =
   docs.(doc_index) <- capture_doc ?planner ~doc_version prev.name master;
   { version; published_at = Unix.gettimeofday (); docs; index = t.index }
 
-(* Runtime document arrival (ADDDOC / a committed ADOPT).  The name map is
-   persistent and shared structurally across snapshots, so registering the
-   nth document costs O(log n) map work plus the O(n) pointer copy of the
-   docs array — cataloguing a large corpus stays far from quadratic
-   encode/decode work.  Re-adding a name that maps to a retired slot
-   revives that slot (the rebalance A->B->A round trip); indices of other
-   documents never move, which the commit queue's [doc_index] references
-   rely on. *)
+(* Runtime document arrival (ADDDOC / a committed ADOPT / start-up).  The
+   snapshot takes ownership of [master]: no copy is made, because a freshly
+   built numbering is never written before its first update, and the write
+   path clones a shared master before that update (copy on first write).
+   The name map is persistent and shared structurally across snapshots, so
+   registering the nth document costs O(log n) map work plus the O(n)
+   pointer copy of the docs array.  Re-adding a name that maps to a retired
+   slot revives that slot (the rebalance A->B->A round trip); indices of
+   other documents never move, which the commit queue's [doc_index]
+   references rely on. *)
 let add_doc t ?planner ~version ~name master =
-  match SMap.find_opt name t.index with
-  | Some i when t.docs.(i).live ->
-    invalid_arg ("Snapshot.add_doc: duplicate document " ^ name)
+  let slot =
+    match SMap.find_opt name t.index with
+    | Some i when t.docs.(i).live ->
+      invalid_arg ("Snapshot.add_doc: duplicate document " ^ name)
+    | slot -> slot
+  in
+  let d = own_doc ?planner ~doc_version:version name master in
+  match slot with
   | Some i ->
     let docs = Array.copy t.docs in
-    docs.(i) <- capture_doc ?planner ~doc_version:version name master;
+    docs.(i) <- d;
     ({ version; published_at = Unix.gettimeofday (); docs; index = t.index }, i)
   | None ->
     let i = Array.length t.docs in
-    let d = capture_doc ?planner ~doc_version:version name master in
     let docs = Array.append t.docs [| d |] in
     ( { version; published_at = Unix.gettimeofday (); docs;
         index = SMap.add name i t.index },
@@ -87,11 +98,15 @@ let add_doc t ?planner ~version ~name master =
 (* Retire in place: the slot (and every other document's index) survives so
    in-flight readers and the write path's index-addressed bookkeeping stay
    valid; the document merely stops being listed, queried or checked.  The
-   slot's memory is retained until a revival — the cost of never shifting
-   an index. *)
+   slot's tree and numbering are swapped for a one-node placeholder, so the
+   retired document is freed once no reader holds an older snapshot. *)
 let retire_doc t ~version ~doc_index =
   let docs = Array.copy t.docs in
-  docs.(doc_index) <- { (docs.(doc_index)) with live = false };
+  let placeholder = R2.number (Dom.element "retired") in
+  docs.(doc_index) <-
+    { (docs.(doc_index)) with root = R2.root placeholder; r2 = placeholder;
+      engine = Rxpath.Engine_ruid.create placeholder; planner = None;
+      live = false };
   { version; published_at = Unix.gettimeofday (); docs; index = t.index }
 
 (* Root label path of an element (root label first, elements only — the

@@ -1,12 +1,24 @@
 (** Immutable read views of the hosted collection.
 
-    The service's reads never lock: each published snapshot is a
-    self-contained copy of every document — its own DOM clone, its own
-    restored numbering (bit-identical identifiers, via the {!Ruid.Persist}
-    sidecar round-trip, so the paper's update locality is preserved rather
-    than renumbered away), and a prebuilt {!Rxpath.Engine_ruid} over it.
-    Publication is a single [Atomic.set]; readers holding the previous
-    snapshot keep a consistent world until they drop it.
+    The service's reads never lock: each published snapshot holds, per
+    document, a tree, its numbering and a prebuilt {!Rxpath.Engine_ruid}
+    over them.  Publication is a single [Atomic.set]; readers holding the
+    previous snapshot keep a consistent world until they drop it.
+
+    Ownership.  A document enters a snapshot in one of two ways:
+    - {!add_doc} takes ownership of the numbering it is given, with no
+      copy: a freshly built (or recovered) numbering is published as is,
+      and from then on the snapshot and the writer's master {e share} it.
+      The writer must clone a shared master ({!Ruid.Ruid2.clone}) before
+      its first write — copy on first write — and never write the shared
+      value; until that first update no copy is made at all.
+    - {!capture} and {!replace_doc} copy: each captured document is a DOM
+      clone with its numbering restored bit-identically through the
+      {!Ruid.Persist} sidecar round trip, so the caller may keep mutating
+      the master it passed in.
+    {!advance} derives its copies from the previous snapshot's by
+    {!Ruid.Ruid2.clone} and replay, never from the master.  Either way the
+    paper's update locality is preserved rather than renumbered away.
 
     An update clones only the document it touched ({!replace_doc});
     untouched documents are shared structurally between consecutive
@@ -20,15 +32,16 @@
 
     A captured snapshot is immutable and safe to read from any number of
     threads {e and domains} concurrently: every constituent structure
-    (DOM clone, numbering tables, document-order index, tag postings,
-    per-tag lists) is completed inside {!capture}/{!replace_doc} before
-    publication, and evaluation never writes — the invariant the parallel
-    read executor relies on. *)
+    (tree, numbering tables, document-order index, tag postings, per-tag
+    lists) is completed before publication, and evaluation never writes —
+    the invariant the parallel read executor relies on. *)
 
 type doc = private {
   name : string;
-  root : Rxml.Dom.t;  (** this snapshot's private clone *)
-  r2 : Ruid.Ruid2.t;  (** numbering restored over the clone *)
+  root : Rxml.Dom.t;
+      (** the document's tree: a private clone, or the tree a master shares
+          until its first update (see the ownership rule above) *)
+  r2 : Ruid.Ruid2.t;  (** numbering over [root]; never written *)
   engine : Rxpath.Eval.engine;
   planner : Rxpath.Planner.t option;
       (** cost-based query planner over this copy, present when the service
@@ -63,10 +76,11 @@ type t = private {
 val capture :
   ?planner:Rxpath.Planner.shared -> version:int ->
   (string * Ruid.Ruid2.t) list -> t
-(** Clone + restore every master document, every cursor at [version].
-    Used once at startup.  With [?planner], every document gets a query
-    planner built over the shared plan cache and strategy counters (one
-    [shared] serves the whole collection across all publications). *)
+(** Clone + restore every master document, every cursor at [version]; the
+    caller keeps its masters and may mutate them.  With [?planner], every
+    document gets a query planner built over the shared plan cache and
+    strategy counters (one [shared] serves the whole collection across all
+    publications). *)
 
 val replace_doc :
   t -> version:int -> doc_version:int -> doc_index:int -> Ruid.Ruid2.t -> t
@@ -103,17 +117,19 @@ val advance :
 val add_doc :
   t -> ?planner:Rxpath.Planner.shared -> version:int -> name:string ->
   Ruid.Ruid2.t -> t * int
-(** Publish a snapshot hosting one more document, captured from [master]
-    with its cursor at [version]; returns the new snapshot and the slot
-    the document landed in.  A name mapping to a {e retired} slot revives
+(** Publish a snapshot hosting one more document, [master] itself with its
+    cursor at [version]; returns the new snapshot and the slot the document
+    landed in.  The snapshot takes ownership of [master] without copying
+    it: the caller must not write [master] again, or must clone it first
+    (copy on first write).  A name mapping to a {e retired} slot revives
     that slot in place (the rebalance round trip); every other document's
     index is unchanged.
     @raise Invalid_argument when the name is already live. *)
 
 val retire_doc : t -> version:int -> doc_index:int -> t
-(** Publish a snapshot with slot [doc_index] marked dead.  The slot's
-    memory is retained until a revival — the price of never shifting an
-    index out from under the commit queue. *)
+(** Publish a snapshot with slot [doc_index] marked dead.  The slot keeps
+    its name and index but now holds a one-node placeholder, so the retired
+    document's memory is freed once no reader holds an older snapshot. *)
 
 val find : t -> string -> (int * doc) option
 (** Live documents only; a retired name answers [None]. *)

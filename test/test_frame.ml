@@ -123,6 +123,42 @@ let prop_area_root_of_is_ancestor =
           Dom.equal r x || Dom.is_ancestor ~anc:r ~desc:x)
         (Dom.preorder root))
 
+(* Complexity guard for the Section 2.3 adjustment.  A wide root whose
+   first records overflow the document node's area (the DBLP shape) makes
+   the adjustment promote the root element over ~all its children; a
+   removal costing |group| per member would make that quadratic.  The
+   per-node cost at 20k records must stay within 3x of 5k records'. *)
+let wide_doc records =
+  let b = Buffer.create (records * 24) in
+  Buffer.add_string b "<dblp>";
+  for i = 1 to records do
+    Buffer.add_string b (Printf.sprintf "<r><a>%d</a><b/></r>" i)
+  done;
+  Buffer.add_string b "</dblp>";
+  Rxml.Parser.parse_string (Buffer.contents b)
+
+let adjust_us_per_node records =
+  let doc = wide_doc records in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let f = Frame.partition ~adjust:false doc in
+    let areas = Frame.area_count f in
+    let t0 = Unix.gettimeofday () in
+    Frame.adjust_fanout f;
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    if Frame.area_count f <= areas then
+      Alcotest.failf "%d records: the adjustment promoted nothing" records
+  done;
+  !best *. 1e6 /. float_of_int (Dom.size doc)
+
+let test_adjust_linear_on_wide_root () =
+  let small = adjust_us_per_node 5_000 in
+  let large = adjust_us_per_node 20_000 in
+  if large > 3. *. small then
+    Alcotest.failf
+      "adjust_fanout is superlinear: %.3f us/node at 20k records vs %.3f at 5k"
+      large small
+
 let suite =
   [
     Alcotest.test_case "single area" `Quick test_single_area;
@@ -134,4 +170,6 @@ let suite =
     Alcotest.test_case "frame depth on chains" `Quick test_frame_depth;
     prop_invariants_random;
     prop_area_root_of_is_ancestor;
+    Alcotest.test_case "fan-out adjustment linear on a wide root" `Quick
+      test_adjust_linear_on_wide_root;
   ]

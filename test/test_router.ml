@@ -435,6 +435,54 @@ let test_membership_via_router () =
              (P.Count_doc { doc = big; xpath = "//n" })))
        "total")
 
+(* A committing forward waits out a slow build: with a shard deadline far
+   below the time the shard takes to build a document, ADDDOC and the
+   committing ADDCHUNK still answer OK, the shard stays up and the router
+   catalogues both documents.  (Under the read deadline the router would
+   answer ERR and mark the shard down while the shard commits anyway.) *)
+let test_commit_outlives_shard_deadline () =
+  let cfg = shard_cfg () in
+  let shard = Service.start cfg [] in
+  let rcfg =
+    Router.default_config ~socket_path:(sock_path ())
+      ~shard_sockets:[| cfg.Service.socket_path |] ()
+  in
+  let deadline_ms = 20 in
+  let rcfg = { rcfg with Router.shard_deadline_ms = deadline_ms } in
+  let router = Router.start rcfg in
+  Fun.protect ~finally:(fun () -> Router.stop router; Service.stop shard)
+  @@ fun () ->
+  let xml =
+    Rxml.Serializer.to_string
+      (Rworkload.Dblp.generate ~seed:5 ~publications:2000)
+  in
+  let t0 = Unix.gettimeofday () in
+  let one =
+    ok_body (ask rcfg.Router.socket_path (P.Add_doc { doc = "slow"; xml }))
+  in
+  let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  if build_ms < 2. *. float_of_int deadline_ms then
+    Alcotest.failf "the build took only %.0f ms; the case needs a slower one"
+      build_ms;
+  let chunk = 64 * 1024 and len = String.length xml in
+  let rec ship off =
+    let n = min chunk (len - off) in
+    let last = off + n >= len in
+    let body =
+      ok_body
+        (ask rcfg.Router.socket_path
+           (P.Add_chunk { doc = "slow2"; off; last; bytes = String.sub xml off n }))
+    in
+    if last then body else ship (off + n)
+  in
+  Alcotest.(check int) "ADDCHUNK built the same document"
+    (get_kv one "nodes") (get_kv (ship 0) "nodes");
+  let stats = ok_body (ask rcfg.Router.socket_path P.Stats) in
+  Alcotest.(check (option string)) "shard still up" (Some "1")
+    (C.kv stats "router_up");
+  Alcotest.(check (option string)) "router catalogued both" (Some "2")
+    (C.kv stats "router_docs")
+
 let strip_version body =
   String.split_on_char ' ' body
   |> List.filter (fun tok ->
@@ -558,4 +606,6 @@ let suite =
     Alcotest.test_case "membership through the router" `Quick
       test_membership_via_router;
     Alcotest.test_case "online rebalance" `Quick test_rebalance;
+    Alcotest.test_case "committing forwards outlive the shard deadline" `Quick
+      test_commit_outlives_shard_deadline;
   ]

@@ -549,6 +549,97 @@ let test_per_document_version_cursor () =
   if encoded_ids db.Snapshot.r2 <> encoded_ids b then
     Alcotest.fail "B's trailing-version update was not folded"
 
+(* Copy on first write.  ADDDOC publishes the built numbering without a
+   copy, so the snapshot and the master share it until the first update
+   clones the master.  A snapshot taken before that update must keep its
+   answers and its numbering bytes, whichever publication path (the
+   incremental advance, or the full fallback from the master) the update
+   takes; the snapshot after it must equal the master — built here
+   independently from the same bytes with the same operation applied. *)
+let cow_xml =
+  "<lib>"
+  ^ String.concat ""
+      (List.init 20 (fun i -> Printf.sprintf "<book n='%d'><title/></book>" i))
+  ^ "</lib>"
+
+let cow_view s name =
+  let _, d = Option.get (Snapshot.find s name) in
+  ( Snapshot.count s "//book",
+    Snapshot.count s "//note",
+    List.map
+      (fun (doc, nodes) -> (doc, List.map (R2.id_of_node d.Snapshot.r2) nodes))
+      (Snapshot.query s "//title"),
+    Bytes.to_string (Ruid.Persist.sidecar_to_bytes d.Snapshot.r2) )
+
+let test_copy_on_first_write ~full () =
+  with_server [] @@ fun cfg t ->
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  ignore (ok_body (C.request c (P.Add_doc { doc = "d"; xml = cow_xml })));
+  let s0 = Service.snapshot t in
+  let v0 = cow_view s0 "d" in
+  let insert = Wal.Insert { parent_rank = 1; pos = 0; tag = "note" } in
+  if full then Service.force_full_publication t;
+  ignore (ok_body (C.request c (P.Update { doc = "d"; op = insert })));
+  if cow_view s0 "d" <> v0 then
+    Alcotest.fail "the snapshot before the first update changed";
+  let master =
+    (Ruid.Stream_build.of_string ~max_area_size:cfg.Service.max_area_size
+       cow_xml).Ruid.Stream_build.r2
+  in
+  ignore (Wal.apply master insert);
+  let s1 = Service.snapshot t in
+  let _, d1 = Option.get (Snapshot.find s1 "d") in
+  R2.check d1.Snapshot.r2;
+  if encoded_ids d1.Snapshot.r2 <> encoded_ids master then
+    Alcotest.fail "the snapshot after the update differs from the master";
+  Alcotest.(check string) "sidecar bytes equal the master's"
+    (Bytes.to_string (Ruid.Persist.sidecar_to_bytes master))
+    (Bytes.to_string (Ruid.Persist.sidecar_to_bytes d1.Snapshot.r2));
+  Alcotest.(check (list (pair string int))) "the insert is visible"
+    [ ("d", 1) ] (Snapshot.count s1 "//note");
+  (* a second update leaves both earlier snapshots as they were *)
+  let v1 = cow_view s1 "d" in
+  ignore
+    (ok_body (C.request c (P.Update { doc = "d"; op = Wal.Delete { rank = 2 } })));
+  if cow_view s1 "d" <> v1 || cow_view s0 "d" <> v0 then
+    Alcotest.fail "a published snapshot changed under a later update";
+  let stats = ok_body (C.request c P.Stats) in
+  Alcotest.(check bool) "publication path taken" true
+    (get_kv stats (if full then "publish_full" else "publish_incremental") >= 1)
+
+(* DROPDOC gives the document's memory back: the retired slot and master
+   drop their trees, so once no reader holds an older snapshot they are
+   collected — the tree a never-updated master still shares with its
+   snapshot, and for an updated document both the tree ADDDOC published
+   and the copy its update published. *)
+let[@inline never] hold_root t name w slot =
+  match Snapshot.find (Service.snapshot t) name with
+  | Some (_, d) -> Weak.set w slot (Some d.Snapshot.root)
+  | None -> Alcotest.failf "%s is not published" name
+
+let test_dropdoc_frees_tree () =
+  with_server [] @@ fun cfg t ->
+  C.with_connection cfg.Service.socket_path @@ fun c ->
+  let w = Weak.create 3 in
+  List.iter
+    (fun doc -> ignore (ok_body (C.request c (P.Add_doc { doc; xml = cow_xml }))))
+    [ "shared"; "updated" ];
+  hold_root t "shared" w 0;
+  hold_root t "updated" w 1;
+  ignore
+    (ok_body
+       (C.request c
+          (P.Update
+             { doc = "updated";
+               op = Wal.Insert { parent_rank = 1; pos = 0; tag = "note" } })));
+  hold_root t "updated" w 2;
+  List.iter
+    (fun doc -> ignore (ok_body (C.request c (P.Drop_doc doc))))
+    [ "shared"; "updated" ];
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "every tree collected" [ false; false; false ]
+    (List.init 3 (Weak.check w))
+
 let test_group_commit_service () =
   with_server ~workers:4 ~max_queue:64 [ ("lib", doc_of_string library) ]
   @@ fun cfg _t ->
@@ -1108,4 +1199,10 @@ let suite =
     Alcotest.test_case "ADDDOC honors the nesting depth budget" `Quick
       test_adddoc_depth_budget;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
+    Alcotest.test_case "copy on first write: incremental publication" `Quick
+      (test_copy_on_first_write ~full:false);
+    Alcotest.test_case "copy on first write: full-fallback publication" `Quick
+      (test_copy_on_first_write ~full:true);
+    Alcotest.test_case "DROPDOC frees the document's trees" `Quick
+      test_dropdoc_frees_tree;
   ]
