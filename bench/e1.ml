@@ -12,7 +12,6 @@ module Stats = Rxml.Stats
 module B = Bignum.Bignat
 module UB = Ruid.Uid.Over_big
 module R2 = Ruid.Ruid2
-module ML = Ruid.Multilevel
 module MR = Ruid.Mruid
 module Shape = Rworkload.Shape
 
@@ -66,7 +65,7 @@ let measured_table () =
           | r2 -> (Report.fint (R2.max_local_bits r2), Report.fint (R2.area_count r2))
           | exception Ruid.Uid.Overflow -> ("overflow", "-")
         in
-        let mr = Ruid.Mruid.build root in
+        let mr = MR.build root in
         [
           name;
           Report.fint st.Stats.nodes;
@@ -75,8 +74,8 @@ let measured_table () =
           Report.fint uid_bits;
           Report.fbool (uid_bits <= 62);
           ruid2_bits;
-          Printf.sprintf "%d (%d lvl)" (Ruid.Mruid.max_component_bits mr)
-            (Ruid.Mruid.levels mr);
+          Printf.sprintf "%d (%d lvl)" (MR.max_component_bits mr)
+            (MR.levels mr);
           areas;
         ])
       (docs ())
@@ -104,7 +103,7 @@ let capacity_table () =
       (fun e ->
         List.map
           (fun m ->
-            let cap = ML.addressable ~e ~levels:m in
+            let cap = MR.addressable ~e ~levels:m in
             [
               Report.fint e; Report.fint m;
               (if B.bit_length cap <= 60 then B.to_string cap

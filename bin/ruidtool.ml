@@ -346,39 +346,6 @@ let reconstruct_cmd =
     Term.(const run $ input_arg $ area_arg $ expr)
 
 (* ------------------------------------------------------------------ *)
-(* plan                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let plan_cmd =
-  let expr =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"XPATH" ~doc:"A child/descendant name-test path.")
-  in
-  let run path area expr =
-    let doc = Rxml.Parser.parse_file path in
-    let r2 = R2.number ~max_area_size:area doc in
-    match Rxpath.Pathplan.compile (Rxpath.Xparser.parse expr) with
-    | None ->
-      prerr_endline "not plannable (predicates, wildcards or other axes)";
-      exit 1
-    | Some plan ->
-      Format.printf "plan: %a@." Rxpath.Pathplan.pp_plan plan;
-      let index = Rxpath.Tag_index.create r2 in
-      List.iter
-        (fun (_, tag) ->
-          Printf.printf "  scan %-16s %6d candidates\n" tag
-            (Rxpath.Tag_index.cardinality index tag))
-        plan.Rxpath.Pathplan.steps;
-      let results = Rxpath.Pathplan.run r2 index plan in
-      Printf.printf "%d result(s)\n" (List.length results)
-  in
-  Cmd.v
-    (Cmd.info "plan"
-       ~doc:"Show and run the structural-join plan of a simple path.")
-    Term.(const run $ input_arg $ area_arg $ expr)
-
-(* ------------------------------------------------------------------ *)
 (* save / load                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1393,7 +1360,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "ruidtool" ~doc)
           [ generate_cmd; stats_cmd; number_cmd; parent_cmd; query_cmd;
-            explain_cmd; update_sim_cmd; reconstruct_cmd; plan_cmd;
+            explain_cmd; update_sim_cmd; reconstruct_cmd;
             save_cmd; load_cmd;
             wal_record_cmd; wal_replay_cmd; fsck_cmd; crash_test_cmd;
             guide_cmd; serve_cmd; replica_cmd; client_cmd; router_cmd;

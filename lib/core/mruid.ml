@@ -84,7 +84,7 @@ let build ?(max_levels = 8) ?max_area_size ?(top_size = 64) doc_root =
   (* Phase 1: the mirror chain of partitions, bottom level first. *)
   let rec chain tree depth =
     if (Dom.size tree <= top_size && top_enumerable tree)
-       || depth >= max_levels - 1
+       || depth >= max_levels
     then ([], tree)
     else begin
       let frame = Frame.partition ?max_area_size tree in
@@ -429,6 +429,8 @@ let delete_subtree t node =
     Dom.remove_child parent node;
     renumber_area t r
   end
+
+let addressable ~e ~levels = Bignum.Bignat.pow (Bignum.Bignat.of_int e) levels
 
 let check_consistency t =
   let fail fmt = Format.kasprintf failwith fmt in

@@ -1,10 +1,14 @@
-(** Fully recursive multilevel ruid (Section 2.4, Definition 4) with no
-    flat integers anywhere below the top level.
+(** Multilevel ruid (Section 2.4, Definition 4): the frame of a 2-level
+    ruid is itself a tree, numbered by its own ruid, and so on up to a
+    small top tree enumerated by the original UID.  An l-level identifier
+    is [{theta, (a_(l-1), b_(l-1)), ..., (a_1, b_1)}]: the top UID [theta]
+    followed by one (local index, root indicator) pair per level, level 1
+    (the document itself) last.  Adding a level decomposes the top UID and
+    keeps every lower component (Example 3: [{8, (a, true)}] at 2 levels
+    becomes [{2, (4, false), (a, true)}] at 3).
 
-    {!Multilevel} materializes each level's global index as one native
-    integer (the frame-node UID), which caps how deep-and-branching a frame
-    it can represent.  This module instead keys every K table by the {e
-    identifier prefix} of the area — the paper's
+    No flat integer is kept below the top level: every K table is keyed by
+    the {e identifier prefix} of the area — the paper's
     [{theta, (a_(l-1), b_(l-1)), ..., (a_(j+1), b_(j+1))}] — so each stored
     component stays bounded by the area budget and only the topmost, small
     frame is enumerated by the original UID.  That makes the Section 3.1
@@ -68,5 +72,9 @@ val area_count : t -> int
 (** Total K rows across all levels. *)
 
 val aux_memory_words : t -> int
+
+val addressable : e:int -> levels:int -> Bignum.Bignat.t
+(** Section 3.1: if one level can enumerate [e] nodes, [levels] levels can
+    enumerate about [e{^levels}]. *)
 
 val check_consistency : t -> unit

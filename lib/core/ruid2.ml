@@ -277,39 +277,6 @@ let children t n =
     else
       List.filter_map (fun j -> Hashtbl.find_opt inner (lo + j)) (List.init k Fun.id)
 
-(* Area-at-a-time descendant enumeration: within the context area, members
-   below the context slot are found by one virtual-ancestry test each;
-   every area whose root is such a member is swallowed whole (its own
-   members need no test at all).  Order is unspecified. *)
-let descendants_unordered t n =
-  let acc = ref [] in
-  let rec area_members g ~below =
-    match Hashtbl.find_opt t.node_at g with
-    | None -> ()
-    | Some inner ->
-      let k = Ktable.fanout t.ktable g in
-      Hashtbl.iter
-        (fun l node ->
-          if l <> 1 then begin
-            let take =
-              match below with
-              | None -> true
-              | Some alpha -> U.relation ~k alpha l = Rel.Ancestor
-            in
-            if take then begin
-              acc := node :: !acc;
-              let nid = Hashtbl.find t.id_of node.Dom.serial in
-              if nid.is_root then area_members nid.global ~below:None
-            end
-          end)
-        inner
-  in
-  let g, alpha = child_context t n in
-  (* For an area root the context is (own area, slot 1): every member is a
-     strict descendant; otherwise only members below the context slot. *)
-  area_members g ~below:(if alpha = 1 then None else Some alpha);
-  !acc
-
 let descendants t n =
   let rec go n = List.concat_map (fun c -> c :: go c) (children t n) in
   go n

@@ -117,11 +117,6 @@ val ancestors : t -> Rxml.Dom.t -> Rxml.Dom.t list
 val children : t -> Rxml.Dom.t -> Rxml.Dom.t list
 
 val descendants : t -> Rxml.Dom.t -> Rxml.Dom.t list
-
-(** Like {!descendants} but in unspecified order and asymptotically
-    cheaper: one virtual-ancestry test per member of the context node's own
-    area, and descendant areas are swallowed whole. *)
-val descendants_unordered : t -> Rxml.Dom.t -> Rxml.Dom.t list
 val following_siblings : t -> Rxml.Dom.t -> Rxml.Dom.t list
 val preceding_siblings : t -> Rxml.Dom.t -> Rxml.Dom.t list
 val preceding : t -> Rxml.Dom.t -> Rxml.Dom.t list

@@ -1,3 +1,3 @@
-(** Multilevel ruid (3 levels, small areas) packaged as a {!Scheme.S}. *)
+(** Multilevel ruid ({!Mruid} with small areas) packaged as a {!Scheme.S}. *)
 
 include Scheme.S with type t = Mruid.t

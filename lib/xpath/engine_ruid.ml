@@ -40,18 +40,6 @@ let create ?(strategy = Auto) ?index r2 =
   let idx = match index with Some i -> i | None -> Doc_index.build r2 in
   let total = Doc_index.size idx in
   let id n = R2.id_of_node r2 n in
-  (* Posting lists for the arithmetic strategy, one per tag so forced Arith
-     runs do not pay an array-to-list conversion per step.  Built eagerly:
-     after [create] the engine closure captures only immutable state, so
-     one engine may serve concurrent reader domains without locking. *)
-  let post_lists = Hashtbl.create 16 in
-  List.iter
-    (fun tag ->
-      Hashtbl.replace post_lists tag (Array.to_list (Doc_index.postings idx tag)))
-    (Doc_index.tags idx);
-  let by_tag tag =
-    match Hashtbl.find_opt post_lists tag with Some l -> l | None -> []
-  in
   let compare_order a b = Doc_index.compare_order idx a b in
   let axis (a : Ast.axis) n =
     match a with
@@ -80,10 +68,15 @@ let create ?(strategy = Auto) ?index r2 =
      [Auto] picks per step by the cost model above, replacing the seed's
      hard-coded 256-candidate threshold. *)
   let named_axis (a : Ast.axis) tag n =
+    (* Folds the rank-sorted posting array from the right, so the result
+       comes out in document order without an intermediate list. *)
     let rel_filter want =
       let nid = id n in
-      List.filter (fun c -> Rel.equal (R2.relationship r2 (id c) nid) want)
-        (by_tag tag)
+      Array.fold_right
+        (fun c acc ->
+          if Rel.equal (R2.relationship r2 (id c) nid) want then c :: acc
+          else acc)
+        (Doc_index.postings idx tag) []
     in
     let card = Doc_index.cardinality idx tag in
     let pick ~scope =

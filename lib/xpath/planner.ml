@@ -42,7 +42,7 @@ type chain = {
 type plan =
   | Empty of string  (* guide refutation: why no node can match *)
   | Chain of chain
-  | TwigJoin of { twig : Twig.t; tabs : bool; t_est : int; tcost : float }
+  | TwigJoin of { twig : Twig.pattern; tabs : bool; t_est : int; tcost : float }
   | Fallback of Ast.union_path
 
 type kind = [ `Chain | `Twig | `Engine | `Pruned ]
@@ -110,26 +110,26 @@ let shared_stats sh =
 type t = {
   r2 : R2.t;
   index : Doc_index.t;
-  tags : Tag_index.t;
   engine : Eval.engine;
   guide : G.t;
   doc_rooted : bool;  (* numbering root is a document node, not an element *)
   shared : shared;
 }
 
-let create ?shared r2 =
-  let shared = match shared with Some s -> s | None -> make_shared () in
+let make ~shared ~guide r2 =
   let index = Doc_index.build r2 in
-  let root = R2.root r2 in
   {
     r2;
     index;
-    tags = Tag_index.create r2;
     engine = Engine_ruid.create ~index r2;
-    guide = G.build root;
-    doc_rooted = not (Dom.is_element root);
+    guide;
+    doc_rooted = not (Dom.is_element (R2.root r2));
     shared;
   }
+
+let create ?shared r2 =
+  let shared = match shared with Some s -> s | None -> make_shared () in
+  make ~shared ~guide:(G.build (R2.root r2)) r2
 
 let engine t = t.engine
 let shared_of t = t.shared
@@ -156,17 +156,7 @@ let advance prev r2 ~deltas =
     end
     else G.build (R2.root r2)  (* deltas disagree with the guide: rebuild *)
   in
-  let index = Doc_index.build r2 in
-  let root = R2.root r2 in
-  {
-    r2;
-    index;
-    tags = Tag_index.create r2;
-    engine = Engine_ruid.create ~index r2;
-    guide;
-    doc_rooted = not (Dom.is_element root);
-    shared = prev.shared;
-  }
+  make ~shared:prev.shared ~guide r2
 
 let rooted t = function None -> true | Some c -> c == R2.root t.r2
 
@@ -380,7 +370,7 @@ let twig_cost t tw =
     in
     up +. down +. List.fold_left (fun acc c -> acc +. go c) 0. kids
   in
-  go (Twig.pattern tw)
+  go tw
 
 (* ------------------------------------------------------------------ *)
 (* Chain planning                                                      *)
@@ -512,7 +502,7 @@ let path_refuted t (path : Ast.path) =
   chain_prefix_refuted t path
   ||
   match Twig.of_xpath path with
-  | Some tw -> not (twig_sat t (Twig.pattern tw))
+  | Some tw -> not (twig_sat t tw)
   | None -> false
 
 let est_of_steps t ~use_guide steps =
@@ -545,7 +535,7 @@ let plan_path t ~use_guide (path : Ast.path) : plan =
             {
               twig = tw;
               tabs = path.Ast.absolute;
-              t_est = est_of_steps t ~use_guide (spine_steps (Twig.pattern tw));
+              t_est = est_of_steps t ~use_guide (spine_steps tw);
               tcost = tc;
             }
         else Fallback [ path ]
@@ -867,7 +857,7 @@ type solved = {
   s_spine : (Twig.pattern * solved) option;
 }
 
-let run_twig t ?context ~trace ~tabs ~t_est tw =
+let run_twig t ?context ~trace ~tabs ~t_est pat =
   let record op est actual t0 =
     match trace with
     | None -> ()
@@ -904,7 +894,6 @@ let run_twig t ?context ~trace ~tabs ~t_est tw =
         | None -> None);
     }
   in
-  let pat = Twig.pattern tw in
   let s0 = solve pat in
   let start =
     match context with
@@ -1020,7 +1009,7 @@ let describe p =
            (List.map (fun b -> "[" ^ pat b ^ "]") p.Twig.branches))
         (match p.Twig.spine with None -> "" | Some sp -> pat sp)
     in
-    "twig-join " ^ pat (Twig.pattern twig)
+    "twig-join " ^ pat twig
   | Fallback u -> "engine-fallback " ^ Ast.union_to_string u
 
 let explain t ?context src =

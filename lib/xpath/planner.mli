@@ -18,8 +18,9 @@
       ranges, child walk) from posting cardinalities and DataGuide
       occurrence counts, and keeps the cheapest pipeline.
     - {b twig-join} ([TwigJoin]): branching patterns in the twig fragment
-      go to {!Twig}'s two-pass semijoin when its cost estimate beats the
-      evaluator's.
+      compile to a {!Twig} pattern and run as a twig-join over the same
+      postings (bottom-up semijoins, then top-down along the spine) when
+      its cost estimate beats the evaluator's.
     - {b engine-fallback} ([Fallback]): everything else — rare axes,
       positional or value predicates — runs on the shared {!Engine_ruid}
       evaluator.  Unions plan per branch: provably-empty branches are
@@ -58,7 +59,7 @@ type chain = {
 type plan =
   | Empty of string  (** guide refutation: why nothing can match *)
   | Chain of chain
-  | TwigJoin of { twig : Twig.t; tabs : bool; t_est : int; tcost : float }
+  | TwigJoin of { twig : Twig.pattern; tabs : bool; t_est : int; tcost : float }
   | Fallback of Ast.union_path
 
 type kind = [ `Chain | `Twig | `Engine | `Pruned ]
@@ -97,7 +98,8 @@ type t
 
 val create : ?shared:shared -> Ruid.Ruid2.t -> t
 (** Build every per-snapshot structure once: the {!Doc_index} (shared with
-    the fallback engine), the tag index, the evaluator, the DataGuide.
+    the fallback engine and the only tag index), the evaluator, the
+    DataGuide.
     Fresh {!shared} state unless one is passed in. *)
 
 val engine : t -> Eval.engine
@@ -114,7 +116,7 @@ type delta = Add of string list | Remove of string list
 val advance : t -> Ruid.Ruid2.t -> deltas:delta list -> t
 (** Planner for the next snapshot: clone the guide, apply the deltas and
     prune (an inconsistent [Remove] forces a fresh guide build), rebuild
-    the per-snapshot indexes, carry {!shared} over.  The previous
+    the document index and evaluator, carry {!shared} over.  The previous
     planner's guide is untouched — readers still holding the old snapshot
     keep a consistent view. *)
 

@@ -1,20 +1,14 @@
-(** Twig (branching path) pattern matching over a numbered document.
+(** Twig (branching path) patterns: the compiled form of the XPath twig
+    fragment.
 
     A twig is a tree of (tag, edge) nodes — edges are child or descendant —
     the shape behind XPath steps with structural predicates, e.g.
-    [//item[name][description//text]/payment].  Matching runs in two
-    semijoin passes over the tag index, every structural test being
-    identifier arithmetic:
-
-    - bottom-up: a node survives if, for every pattern child, some
-      candidate of that child has it as parent ([rparent]) or ancestor
-      ([rancestor]);
-    - top-down: a node survives if its own parent/ancestor chain reaches a
-      surviving candidate of the pattern parent.
-
-    The result is the match set of a designated {e output} node (the last
-    spine step of the originating XPath).  Equivalence with the full XPath
-    evaluator is property-tested. *)
+    [//item[name][description//text]/payment].  The branches are
+    existential structural predicates; the spine is the extraction path,
+    whose last node is the {e output} node.  {!Planner} refutes patterns
+    against the DataGuide, costs them, and executes them as a twig-join
+    over {!Doc_index} postings; the patterns themselves carry no
+    execution. *)
 
 type edge = Child | Descendant
 
@@ -26,20 +20,7 @@ type pattern = {
   spine : pattern option;  (** continuation of the extraction path *)
 }
 
-type t
-
-val pattern : t -> pattern
-
-val of_xpath : Ast.path -> t option
+val of_xpath : Ast.path -> pattern option
 (** Compile an XPath whose steps are child/descendant name tests and whose
     predicates are (conjunctions of) relative child/descendant name-test
     paths — the twig fragment.  [None] for anything else. *)
-
-val run :
-  Ruid.Ruid2.t -> Tag_index.t -> ?context:Rxml.Dom.t -> t -> Rxml.Dom.t list
-(** Matches of the output node, in document order. *)
-
-val query :
-  Ruid.Ruid2.t -> Tag_index.t -> ?context:Rxml.Dom.t -> string ->
-  Rxml.Dom.t list option
-(** Parse, compile and run; [None] when not a twig. *)

@@ -30,7 +30,7 @@ let () =
       ("misc", Test_misc.suite);
       ("fuzz", Test_fuzz.suite);
       ("conformance", Test_conformance.suite);
-      ("auto", Test_auto.suite);
+      ("planner", Test_planner.suite);
       ("server", Test_server.suite);
       ("parallel", Test_parallel.suite);
       ("replication", Test_replication.suite);

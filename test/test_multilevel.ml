@@ -1,128 +1,147 @@
+(* The multilevel form (Section 2.4, Definition 4; Example 3) as {!Mruid}
+   builds it: level counting, the decomposition of the top UID when a level
+   is added, identifier round trips, parents, relations and updates against
+   the DOM, and the Section 3.1 capacity law. *)
+
 module Dom = Rxml.Dom
-module ML = Ruid.Multilevel
-module R2 = Ruid.Ruid2
+module M = Ruid.Mruid
 module B = Bignum.Bignat
 module Shape = Rworkload.Shape
 module Rng = Rworkload.Rng
 open Util
 
-let mlid = Alcotest.testable ML.pp_id ML.id_equal
+let mid = Alcotest.testable M.pp_id M.id_equal
 
+(* [top_size:1] keeps partitioning until [levels] caps the recursion, so a
+   document with enough areas gets exactly [levels] levels. *)
 let build ?(levels = 3) ?(area = 8) root =
-  ML.build ~levels ~max_area_size:area root
+  M.build ~max_levels:levels ~max_area_size:area ~top_size:1 root
+
+let uniform ~seed ~target lo hi =
+  Shape.generate ~seed ~target (Shape.Uniform { fanout_lo = lo; fanout_hi = hi })
 
 let test_levels_counting () =
-  (* A tiny tree yields a single area: recursion stops at 2 levels. *)
+  (* A tiny tree is a single area: the original UID alone numbers it. *)
   let small = t "a" [ t "b" [] ] in
-  Alcotest.(check int) "small doc stays 2-level" 2 (ML.levels (build small));
-  let big = Shape.generate ~seed:1 ~target:600 (Shape.Uniform { fanout_lo = 1; fanout_hi = 4 }) in
-  let ml = build ~levels:3 ~area:6 big in
-  Alcotest.(check int) "large doc reaches 3 levels" 3 (ML.levels ml)
+  Alcotest.(check int) "small doc is 1-level" 1 (M.levels (build small));
+  let big = uniform ~seed:1 ~target:600 1 4 in
+  Alcotest.(check int) "2-level when capped at 2" 2
+    (M.levels (build ~levels:2 ~area:6 big));
+  Alcotest.(check int) "large doc reaches 3 levels" 3
+    (M.levels (build ~levels:3 ~area:6 big))
 
 let test_component_count_matches_levels () =
-  let root = Shape.generate ~seed:4 ~target:500 (Shape.Uniform { fanout_lo = 1; fanout_hi = 4 }) in
-  let ml = build ~levels:4 ~area:5 root in
-  let l = ML.levels ml in
+  let root = uniform ~seed:4 ~target:500 1 4 in
+  let m = build ~levels:4 ~area:5 root in
+  let l = M.levels m in
+  Alcotest.(check int) "4 levels" 4 l;
   Dom.iter_preorder
     (fun n ->
-      let i = ML.id_of_node ml n in
+      let i = M.id_of_node m n in
       Alcotest.(check int) "one component per level below the top" (l - 1)
-        (List.length i.ML.components))
+        (List.length i.M.comps))
     root
 
-(* Definition 4 / Example 3: the 3-level identifier refines the 2-level one
-   by decomposing the top UID, keeping the base component unchanged. *)
+(* Definition 4 / Example 3: adding a level decomposes the top UID of the
+   2-level identifier into a 3-level prefix and keeps the document-level
+   (last) component; top UIDs and prefixes correspond one to one. *)
 let test_decomposition_consistency () =
-  let root = Shape.generate ~seed:9 ~target:400 (Shape.Uniform { fanout_lo = 1; fanout_hi = 3 }) in
-  let two = ML.build ~levels:2 ~max_area_size:8 root in
-  (* Build the 3-level numbering over a clone so the 2-level stays valid. *)
-  let three = ML.build ~levels:3 ~max_area_size:8 root in
+  let root = uniform ~seed:9 ~target:400 1 3 in
+  let two = build ~levels:2 root and three = build ~levels:3 root in
+  let prefix = Hashtbl.create 64 in
   Dom.iter_preorder
     (fun n ->
-      let i2 = ML.id_of_node two n in
-      let i3 = ML.id_of_node three n in
-      (* The base-level (last) component is identical in both forms. *)
-      let last l = List.nth l (List.length l - 1) in
-      Alcotest.(check bool) "base component preserved" true
-        (last i2.ML.components = last i3.ML.components))
-    root
+      match (M.id_of_node two n, M.id_of_node three n) with
+      | { M.top; comps = [ base2 ] }, { M.top = top3; comps = [ upper; base3 ] } -> (
+        Alcotest.(check bool) "base component preserved" true (base2 = base3);
+        match Hashtbl.find_opt prefix top with
+        | Some p -> Alcotest.(check bool) "one prefix per top UID" true (p = (top3, upper))
+        | None -> Hashtbl.replace prefix top (top3, upper))
+      | _ -> Alcotest.fail "expected a 2-level and a 3-level identifier")
+    root;
+  let prefixes = Hashtbl.fold (fun _ p acc -> p :: acc) prefix [] in
+  Alcotest.(check int) "one top UID per prefix" (Hashtbl.length prefix)
+    (List.length (List.sort_uniq compare prefixes))
 
 let test_round_trip () =
-  let root = Shape.generate ~seed:21 ~target:700 (Shape.Uniform { fanout_lo = 0; fanout_hi = 5 }) in
-  let ml = build ~levels:3 ~area:7 root in
-  ML.check_consistency ml;
+  let root = uniform ~seed:21 ~target:700 0 5 in
+  let m = build ~levels:3 ~area:7 root in
+  M.check_consistency m;
   Dom.iter_preorder
     (fun n ->
-      match ML.node_of_id ml (ML.id_of_node ml n) with
-      | Some m -> Alcotest.(check int) "round trip" n.Dom.serial m.Dom.serial
+      match M.node_of_id m (M.id_of_node m n) with
+      | Some x -> Alcotest.(check int) "round trip" n.Dom.serial x.Dom.serial
       | None -> Alcotest.fail "identifier did not resolve")
     root
 
 let test_parent () =
-  let root = Shape.generate ~seed:33 ~target:300 (Shape.Uniform { fanout_lo = 1; fanout_hi = 4 }) in
-  let ml = build ~levels:3 ~area:6 root in
+  let root = uniform ~seed:33 ~target:300 1 4 in
+  let m = build ~levels:3 ~area:6 root in
   Dom.iter_preorder
     (fun n ->
-      let i = ML.id_of_node ml n in
-      match (ML.parent ml i, n.Dom.parent) with
+      let i = M.id_of_node m n in
+      match (M.rparent m i, n.Dom.parent) with
       | None, None -> ()
-      | Some p, Some dp -> Alcotest.check mlid "parent id" (ML.id_of_node ml dp) p
+      | Some p, Some dp -> Alcotest.check mid "parent id" (M.id_of_node m dp) p
       | Some _, None -> Alcotest.fail "root got a parent"
       | None, Some _ -> Alcotest.fail "lost a parent")
     root
 
 let test_relationship_oracle () =
-  let root = Shape.generate ~seed:41 ~target:250 (Shape.Uniform { fanout_lo = 0; fanout_hi = 4 }) in
-  let ml = build ~levels:3 ~area:5 root in
+  let root = uniform ~seed:41 ~target:250 0 4 in
+  let m = build ~levels:3 ~area:5 root in
   let rng = Rng.create 12 in
   for _ = 1 to 150 do
     let a = Shape.random_node rng root in
     let b = Shape.random_node rng root in
     Alcotest.check rel "relationship"
       (dom_relation root a b)
-      (ML.relationship ml (ML.id_of_node ml a) (ML.id_of_node ml b))
+      (M.relationship m (M.id_of_node m a) (M.id_of_node m b))
   done
 
 let test_updates_through_multilevel () =
-  let root = Shape.generate ~seed:55 ~target:200 (Shape.Uniform { fanout_lo = 0; fanout_hi = 4 }) in
-  let ml = build ~levels:3 ~area:8 root in
+  let root = uniform ~seed:55 ~target:200 0 4 in
+  let m = build ~levels:3 ~area:8 root in
   let rng = Rng.create 3 in
   for _ = 1 to 30 do
     let parent = Shape.random_node rng root in
     let pos = Rng.int rng (Dom.degree parent + 1) in
-    ignore (ML.insert_node ml ~parent ~pos (Dom.element "ins"))
+    ignore (M.insert_node m ~parent ~pos (Dom.element "ins"))
   done;
-  ML.check_consistency ml;
+  M.check_consistency m;
   (* identifiers still resolve and relations hold *)
   for _ = 1 to 60 do
     let a = Shape.random_node rng root in
     let b = Shape.random_node rng root in
     Alcotest.check rel "post-update relationship"
       (dom_relation root a b)
-      (ML.relationship ml (ML.id_of_node ml a) (ML.id_of_node ml b))
+      (M.relationship m (M.id_of_node m a) (M.id_of_node m b))
   done
 
 let test_addressable () =
-  Alcotest.(check string) "e^m" "1000000" (B.to_string (ML.addressable ~e:100 ~levels:3));
+  Alcotest.(check string) "e^m" "1000000" (B.to_string (M.addressable ~e:100 ~levels:3));
   (* Section 3.1: with e = 2^61 per level, 2 levels cover 2^122 nodes. *)
   Alcotest.(check int) "2 levels of 61-bit UIDs" 123
-    (B.bit_length (ML.addressable ~e:2305843009213693952 ~levels:2))
+    (B.bit_length (M.addressable ~e:2305843009213693952 ~levels:2))
 
 let test_component_bits_bounded () =
   (* Multilevel keeps individual indices small even where flat UID blows
      up: a wide DBLP-like document. *)
   let root = Rworkload.Dblp.generate ~seed:2 ~publications:400 in
-  let ml = build ~levels:3 ~area:16 root in
+  let m = build ~levels:3 ~area:16 root in
   Alcotest.(check bool)
-    (Printf.sprintf "component bits %d stay small" (ML.max_component_bits ml))
+    (Printf.sprintf "component bits %d stay small" (M.max_component_bits m))
     true
-    (ML.max_component_bits ml <= 24)
+    (M.max_component_bits m <= 24)
 
 let test_pp () =
-  let root = t "a" [ t "b" []; t "c" [] ] in
-  let ml = build root in
-  let i = ML.id_of_node ml root in
-  Alcotest.(check string) "root renders" "{1, (1, true)}" (ML.id_to_string i)
+  let small = t "a" [ t "b" []; t "c" [] ] in
+  Alcotest.(check string) "1-level root" "{1}"
+    (M.id_to_string (M.id_of_node (build small) small));
+  let big = uniform ~seed:4 ~target:500 1 4 in
+  let m = build ~levels:3 ~area:5 big in
+  Alcotest.(check string) "3-level root" "{1, (1, true), (1, true)}"
+    (M.id_to_string (M.id_of_node m big))
 
 let suite =
   [

@@ -1,7 +1,11 @@
+(* Path plans: the planner's chain-join plans for child/descendant
+   name-test paths (the [/a/b//c] shape), checked against the naive
+   evaluator, plus the rank-sorted tag postings they are joined over. *)
+
 module Dom = Rxml.Dom
 module R2 = Ruid.Ruid2
-module Pp = Rxpath.Pathplan
-module Ti = Rxpath.Tag_index
+module P = Rxpath.Planner
+module DI = Rxpath.Doc_index
 module Shape = Rworkload.Shape
 open Util
 
@@ -10,7 +14,7 @@ let setup () =
   let doc = Dom.document () in
   Dom.append_child doc site;
   let r2 = R2.number ~max_area_size:16 doc in
-  (doc, r2, Ti.create r2, Rxpath.Engine_naive.create doc)
+  (doc, r2, P.create r2, Rxpath.Engine_naive.create doc)
 
 let plannable =
   [
@@ -33,61 +37,59 @@ let not_plannable =
     "..";                            (* parent *)
   ]
 
+let is_chain q =
+  snd (P.chain_of_steps (Rxpath.Xparser.parse q).Rxpath.Ast.steps)
+
 let test_compile_recognizes () =
-  List.iter
-    (fun q ->
-      match Pp.compile (Rxpath.Xparser.parse q) with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s should be plannable" q)
-    plannable;
-  List.iter
-    (fun q ->
-      match Pp.compile (Rxpath.Xparser.parse q) with
-      | None -> ()
-      | Some _ -> Alcotest.failf "%s should not be plannable" q)
-    not_plannable
+  List.iter (fun q -> Alcotest.(check bool) q true (is_chain q)) plannable;
+  List.iter (fun q -> Alcotest.(check bool) q false (is_chain q)) not_plannable
+
+let check_chain planner ?context q =
+  match P.plan planner ?context q with
+  | P.Chain _ -> ()
+  | p -> Alcotest.failf "%s planned as %s" q (P.describe p)
 
 let test_plan_matches_eval () =
-  let _doc, r2, index, naive = setup () in
+  let _doc, _r2, planner, naive = setup () in
   List.iter
     (fun q ->
-      match Pp.query r2 index q with
-      | None -> Alcotest.failf "%s did not compile" q
-      | Some planned ->
-        check_node_list q (Rxpath.Eval.query naive q) planned)
+      check_chain planner q;
+      check_node_list q (Rxpath.Eval.query naive q) (P.query planner q))
     plannable
 
 let test_plan_with_context () =
-  let doc, r2, index, naive = setup () in
+  let doc, _r2, planner, naive = setup () in
   let site = Dom.root_element doc in
   let regions = List.find (fun n -> Dom.tag n = "regions") site.Dom.children in
-  match Pp.query r2 index ~context:regions "africa/item/name" with
-  | None -> Alcotest.fail "relative plan did not compile"
-  | Some planned ->
-    check_node_list "relative from context"
-      (Rxpath.Eval.query naive ~context:regions "africa/item/name")
-      planned
+  check_chain planner ~context:regions "africa/item/name";
+  check_node_list "relative from context"
+    (Rxpath.Eval.query naive ~context:regions "africa/item/name")
+    (P.query planner ~context:regions "africa/item/name")
 
+(* The rendering lists every step with its edge and stars the pivot. *)
 let test_plan_printing () =
-  let p = Option.get (Pp.compile (Rxpath.Xparser.parse "//a/b//c")) in
-  Alcotest.(check string) "round trip" "//a/b//c"
-    (Format.asprintf "%a" Pp.pp_plan p);
-  let p = Option.get (Pp.compile (Rxpath.Xparser.parse "/x//y")) in
-  Alcotest.(check string) "absolute" "/x//y" (Format.asprintf "%a" Pp.pp_plan p)
+  let _doc, _r2, planner, _ = setup () in
+  List.iter
+    (fun (q, steps) ->
+      let d = P.describe (P.plan planner q) in
+      let unstarred = String.concat "" (String.split_on_char '*' d) in
+      Alcotest.(check bool) (d ^ " is a chain listing " ^ steps) true
+        (String.starts_with ~prefix:"chain-join pivot=" d
+        && String.ends_with ~suffix:steps unstarred))
+    [ ("//item/name", " //item /name"); ("/site//bidder", " /site //bidder") ]
 
 let test_tag_index () =
-  let _doc, r2, index, _ = setup () in
-  Alcotest.(check bool) "items indexed" true (Ti.cardinality index "item" > 0);
-  Alcotest.(check int) "unknown tag" 0 (Ti.cardinality index "zzz");
+  let doc, r2, _, _ = setup () in
+  let idx = DI.build r2 in
+  Alcotest.(check bool) "items indexed" true (DI.cardinality idx "item" > 0);
+  Alcotest.(check int) "unknown tag" 0 (DI.cardinality idx "zzz");
   (* Postings are in document order. *)
-  let items = Ti.find index "item" in
-  let sorted =
-    List.sort (fun a b -> R2.doc_order r2 (R2.id_of_node r2 a) (R2.id_of_node r2 b)) items
-  in
-  check_node_list "document order" sorted items;
-  Alcotest.(check int) "total counts elements"
-    (List.length (List.filter Dom.is_element (R2.all_nodes r2)))
-    (Ti.total index)
+  let items = Array.to_list (DI.postings idx "item") in
+  check_node_list "document order"
+    (List.filter (fun n -> Dom.tag n = "item") (Dom.preorder doc)) items;
+  Alcotest.(check int) "postings cover every element"
+    (List.length (List.filter Dom.is_element (Dom.preorder doc)))
+    (List.fold_left (fun acc tag -> acc + DI.cardinality idx tag) 0 (DI.tags idx))
 
 let prop_plan_equals_eval_random =
   Util.qtest ~count:25 "plans agree with the evaluator on random documents"
@@ -97,16 +99,12 @@ let prop_plan_equals_eval_random =
         Shape.generate ~seed:(n * 7) ~tags:[| "a"; "b"; "c" |] ~target:n
           (Shape.Uniform { fanout_lo = 0; fanout_hi = 4 })
       in
-      let r2 = R2.number ~max_area_size:8 root in
-      let index = Ti.create r2 in
+      let planner = P.create (R2.number ~max_area_size:8 root) in
       let naive = Rxpath.Engine_naive.create root in
       List.for_all
         (fun q ->
-          match Pp.query r2 index q with
-          | None -> false
-          | Some planned ->
-            List.map (fun x -> x.Dom.serial) planned
-            = List.map (fun x -> x.Dom.serial) (Rxpath.Eval.query naive q))
+          (match P.plan planner q with P.Chain _ | P.Empty _ -> true | _ -> false)
+          && serials (P.query planner q) = serials (Rxpath.Eval.query naive q))
         [ "//a/b"; "//b//c"; "//a//b/c"; "//c" ])
 
 let suite =

@@ -1,16 +1,22 @@
+(* Twig patterns: compilation of the XPath twig fragment, and the
+   planner's twig-join over them checked against the naive evaluator. *)
+
 module Dom = Rxml.Dom
 module R2 = Ruid.Ruid2
 module Twig = Rxpath.Twig
-module Ti = Rxpath.Tag_index
+module P = Rxpath.Planner
 module Shape = Rworkload.Shape
 open Util
 
-let setup ?(scale = 1.0) () =
-  let site = Rworkload.Xmark.generate ~seed:21 ~scale in
+let setup () =
+  let site = Rworkload.Xmark.generate ~seed:21 ~scale:1.0 in
   let doc = Dom.document () in
   Dom.append_child doc site;
   let r2 = R2.number ~max_area_size:16 doc in
-  (doc, r2, Ti.create r2, Rxpath.Engine_naive.create doc)
+  (doc, P.create r2, Rxpath.Engine_naive.create doc)
+
+let is_twig_join planner ?context q =
+  match P.plan planner ?context q with P.TwigJoin _ -> true | _ -> false
 
 let twig_queries =
   [
@@ -48,19 +54,18 @@ let test_compilation () =
     non_twig_queries
 
 let test_matches_evaluator () =
-  let _doc, r2, index, naive = setup () in
-  List.iter
-    (fun q ->
-      match Twig.query r2 index q with
-      | None -> Alcotest.failf "%s did not compile" q
-      | Some got -> check_node_list q (Rxpath.Eval.query naive q) got)
-    twig_queries
+  let _doc, planner, naive = setup () in
+  let joined =
+    List.filter
+      (fun q ->
+        check_node_list q (Rxpath.Eval.query naive q) (P.query planner q);
+        is_twig_join planner q)
+      twig_queries
+  in
+  Alcotest.(check bool) "some run as twig-joins" true (List.length joined >= 4)
 
 let test_structure () =
-  let t =
-    Option.get (Twig.of_xpath (Rxpath.Xparser.parse "//a[b//c][d]/e"))
-  in
-  let p = Twig.pattern t in
+  let p = Option.get (Twig.of_xpath (Rxpath.Xparser.parse "//a[b//c][d]/e")) in
   Alcotest.(check string) "root tag" "a" p.Twig.tag;
   Alcotest.(check bool) "root edge descendant" true (p.Twig.edge = Twig.Descendant);
   Alcotest.(check int) "two branches" 2 (List.length p.Twig.branches);
@@ -80,12 +85,17 @@ let test_structure () =
     Alcotest.(check string) "second branch" "d" b2.Twig.tag
   | _ -> Alcotest.fail "expected two branches"
 
+(* A twig over a tag the document lacks: rooted, the DataGuide refutes it;
+   from a context node (no guide) the twig-join itself comes back empty. *)
 let test_empty_results () =
-  let _doc, r2, index, _ = setup () in
-  match Twig.query r2 index "//person[creditcard]/nonexistent" with
-  | Some [] -> ()
-  | Some _ -> Alcotest.fail "expected no matches"
-  | None -> Alcotest.fail "should compile"
+  let doc, planner, _ = setup () in
+  let q = "//person[creditcard]/nonexistent" in
+  Alcotest.(check int) "rooted" 0 (List.length (P.query planner q));
+  let site = Dom.root_element doc in
+  Alcotest.(check bool) "twig-join from a context" true
+    (is_twig_join planner ~context:site q);
+  Alcotest.(check int) "from a context" 0
+    (List.length (P.query planner ~context:site q))
 
 let prop_twig_matches_eval =
   Util.qtest ~count:25 "twigs agree with the evaluator on random documents"
@@ -95,16 +105,11 @@ let prop_twig_matches_eval =
         Shape.generate ~seed:(n * 5) ~tags:[| "a"; "b"; "c"; "d" |] ~target:n
           (Shape.Uniform { fanout_lo = 0; fanout_hi = 4 })
       in
-      let r2 = R2.number ~max_area_size:8 root in
-      let index = Ti.create r2 in
+      let planner = P.create (R2.number ~max_area_size:8 root) in
       let naive = Rxpath.Engine_naive.create root in
       List.for_all
         (fun q ->
-          match Twig.query r2 index q with
-          | None -> false
-          | Some got ->
-            List.map (fun x -> x.Dom.serial) got
-            = List.map (fun x -> x.Dom.serial) (Rxpath.Eval.query naive q))
+          serials (P.query planner q) = serials (Rxpath.Eval.query naive q))
         [ "//a[b]/c"; "//a[b//c]"; "//b[c][d]"; "//a[b/c]/d"; "//a[b]" ])
 
 let suite =
